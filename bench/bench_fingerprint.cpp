@@ -1,7 +1,7 @@
 // Fingerprinting hot-path harness: measures the chunking and hashing
-// throughputs that bound AA-Dedupe's client-side dedup rate, plus the
-// end-to-end session wall clock under stream- vs file-granularity
-// parallelism, and writes the results as BENCH_chunking.json.
+// throughputs that bound AA-Dedupe's client-side dedup rate and writes the
+// results as BENCH_chunking.json. The end-to-end session is measured by
+// bench/session (bench_session).
 //
 // The CDC engine is measured twice: `cdc` is the shipping min-skip
 // implementation, `cdc_reference` is the byte-at-a-time seed algorithm
@@ -24,7 +24,6 @@
 #include "chunk/fastcdc_chunker.hpp"
 #include "chunk/static_chunker.hpp"
 #include "chunk/whole_file_chunker.hpp"
-#include "core/aa_dedupe.hpp"
 #include "core/policy.hpp"
 #include "hash/batch_hasher.hpp"
 #include "hash/md5.hpp"
@@ -88,34 +87,6 @@ Result measure(const Config& config, std::string name, std::uint64_t bytes,
   return result;
 }
 
-dataset::Snapshot make_skewed_snapshot(const Config& config) {
-  // One dominant CDC stream (~90% of the bytes) plus small side streams —
-  // the workload shape where stream-granularity parallelism collapses to
-  // single-threaded wall clock.
-  const std::uint32_t doc_bytes =
-      config.smoke ? (256u << 10) : (3u << 20);
-  const std::uint32_t side_bytes = config.smoke ? (64u << 10) : (1u << 20);
-  dataset::Snapshot snapshot;
-  auto add_file = [&](std::string path, dataset::FileKind kind,
-                      std::uint64_t seed, std::uint32_t bytes) {
-    dataset::FileEntry entry;
-    entry.path = std::move(path);
-    entry.kind = kind;
-    entry.content.kind = kind;
-    entry.content.segments.emplace_back(dataset::Segment::Type::kUnique,
-                                        seed, bytes);
-    snapshot.files.push_back(std::move(entry));
-  };
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    add_file("doc/skew" + std::to_string(i) + ".doc",
-             dataset::FileKind::kDoc, 1000 + i, doc_bytes);
-  }
-  add_file("mp3/small0.mp3", dataset::FileKind::kMp3, 2000, side_bytes);
-  add_file("vm/small0.vmdk", dataset::FileKind::kVmdk, 2001, side_bytes);
-  add_file("txt/small0.txt", dataset::FileKind::kTxt, 2002, side_bytes / 2);
-  return snapshot;
-}
-
 /// Minimum paired rounds for the overhead probes: enough for the median
 /// to reject scheduler-spike outliers, odd so it is a measured round.
 constexpr std::size_t kMinPairedRounds = 9;
@@ -130,24 +101,8 @@ double median_ratio_of(std::vector<double>& ratios) {
                                 : 0.5 * (ratios[mid - 1] + ratios[mid]);
 }
 
-Result measure_session(const Config& config,
-                       core::ParallelGranularity granularity,
-                       const dataset::Snapshot& snapshot) {
-  core::AaDedupeOptions options;
-  options.granularity = granularity;
-  const char* name = granularity == core::ParallelGranularity::kStream
-                         ? "session_stream_grain"
-                         : "session_file_grain";
-  return measure(config, name, snapshot.total_bytes(), [&] {
-    cloud::CloudTarget target;
-    core::AaDedupeScheme scheme(target, options);
-    scheme.backup(snapshot);
-  });
-}
-
 struct DerivedKeys {
   double cdc_speedup = 0.0;
-  double session_speedup = 0.0;
   double telemetry_overhead_pct = 0.0;
   double profiler_overhead_pct = 0.0;
   double ops_overhead_pct = 0.0;
@@ -169,7 +124,6 @@ void write_json(const Config& config, const std::vector<Result>& results,
     mbps[result.name] = result.mb_per_s;
   }
   doc["cdc_speedup_vs_reference"] = keys.cdc_speedup;
-  doc["session_file_vs_stream_speedup"] = keys.session_speedup;
   doc["telemetry_overhead_pct_cdc_fingerprint"] = keys.telemetry_overhead_pct;
   doc["profiler_overhead_pct_cdc_fingerprint"] = keys.profiler_overhead_pct;
   doc["ops_overhead_pct_cdc_fingerprint"] = keys.ops_overhead_pct;
@@ -574,18 +528,8 @@ int main(int argc, char** argv) {
               "(median of %zu paired rounds, server idle on port %u)\n",
               ops_overhead_pct, ops_ratios.size(), ops_server.port());
 
-  std::printf("end-to-end session (skewed application streams):\n");
-  const dataset::Snapshot snapshot = make_skewed_snapshot(config);
-  const Result by_stream =
-      measure_session(config, core::ParallelGranularity::kStream, snapshot);
-  const Result by_file =
-      measure_session(config, core::ParallelGranularity::kFile, snapshot);
-  results.push_back(by_stream);
-  results.push_back(by_file);
-
   DerivedKeys keys;
   keys.cdc_speedup = results[0].mb_per_s / results[1].mb_per_s;
-  keys.session_speedup = by_file.mb_per_s / by_stream.mb_per_s;
   keys.telemetry_overhead_pct = telemetry_overhead_pct;
   keys.profiler_overhead_pct = profiler_overhead_pct;
   keys.ops_overhead_pct = ops_overhead_pct;
@@ -595,7 +539,6 @@ int main(int argc, char** argv) {
   // vs the recorded pre-PR-7 baseline (115.896 MB/s on this container).
   keys.fingerprint_speedup_vs_seed = fp_plain.mb_per_s / 115.896;
   std::printf("cdc speedup vs reference: %.2fx\n", keys.cdc_speedup);
-  std::printf("file vs stream granularity: %.2fx\n", keys.session_speedup);
   std::printf("fingerprint speedup vs recorded seed: %.2fx\n",
               keys.fingerprint_speedup_vs_seed);
 

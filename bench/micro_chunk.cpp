@@ -5,7 +5,6 @@
 #include "chunk/fastcdc_chunker.hpp"
 #include "chunk/static_chunker.hpp"
 #include "chunk/whole_file_chunker.hpp"
-#include "core/aa_dedupe.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -76,57 +75,6 @@ void BM_CdcChunkerZeros(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_CdcChunkerZeros)->Arg(4 << 20);
-
-// A snapshot whose bytes are dominated by a single application stream:
-// ~90% of the data is unique .doc content (the CDC + SHA-1 category, the
-// most expensive per byte) spread over several files, plus a few small
-// streams of other kinds. Under stream-granularity parallelism the doc
-// stream runs on one thread and bounds the session wall clock; the
-// file-granularity front end spreads the doc files across the pool.
-dataset::Snapshot make_skewed_snapshot() {
-  dataset::Snapshot snapshot;
-  auto add_file = [&](std::string path, dataset::FileKind kind,
-                      std::uint64_t seed, std::uint32_t bytes) {
-    dataset::FileEntry entry;
-    entry.path = std::move(path);
-    entry.kind = kind;
-    entry.content.kind = kind;
-    entry.content.segments.emplace_back(
-        dataset::Segment::Type::kUnique, seed, bytes);
-    snapshot.files.push_back(std::move(entry));
-  };
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    add_file("doc/skew" + std::to_string(i) + ".doc",
-             dataset::FileKind::kDoc, 1000 + i, 3u << 20);
-  }
-  add_file("mp3/small0.mp3", dataset::FileKind::kMp3, 2000, 1u << 20);
-  add_file("vm/small0.vmdk", dataset::FileKind::kVmdk, 2001, 1u << 20);
-  add_file("txt/small0.txt", dataset::FileKind::kTxt, 2002, 512u << 10);
-  return snapshot;
-}
-
-void BM_SkewedSessionGranularity(benchmark::State& state) {
-  const dataset::Snapshot snapshot = make_skewed_snapshot();
-  core::AaDedupeOptions options;
-  options.granularity = state.range(0) == 0
-                            ? core::ParallelGranularity::kStream
-                            : core::ParallelGranularity::kFile;
-  for (auto _ : state) {
-    cloud::CloudTarget target;
-    core::AaDedupeScheme scheme(target, options);
-    benchmark::DoNotOptimize(scheme.backup(snapshot));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(snapshot.total_bytes()));
-  state.SetLabel(state.range(0) == 0 ? "granularity=stream"
-                                     : "granularity=file");
-}
-BENCHMARK(BM_SkewedSessionGranularity)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

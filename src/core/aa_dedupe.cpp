@@ -38,10 +38,8 @@ AaDedupeScheme::AaDedupeScheme(cloud::CloudTarget& target,
       options_(options),
       policy_(options.policy),
       size_filter_(options.tiny_file_threshold),
-      index_(make_shard_factory(options_)) {
-  if (options_.parallel) {
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
+      index_(make_shard_factory(options_)),
+      pool_(options_.worker_threads) {
   if (options_.convergent_encryption) {
     master_key_ = crypto::derive_master_key(options_.passphrase);
   }
@@ -73,137 +71,21 @@ telemetry::Sketch AaDedupeScheme::chunk_latency_sketch(
   return options_.telemetry->metrics.sketch("chunk.latency_s", labels);
 }
 
-AaDedupeScheme::StreamResult AaDedupeScheme::process_stream(
-    const std::string& partition,
-    const std::vector<const dataset::FileEntry*>& files,
-    UploadPipeline& pipeline) {
-  StreamResult result;
-  result.recipes.reserve(files.size());
-
-  // One open container per stream (paper Section III.F); sealed ones go to
-  // the pipelined uploader.
-  container::ContainerManager manager(
-      container_ids_,
-      [&pipeline](std::uint64_t id, ByteBuffer bytes) {
-        pipeline.enqueue(backup::keys::container_object(id),
-                         std::move(bytes));
-      },
-      options_.container_capacity, /*pad_on_flush=*/false,
-      options_.telemetry, partition);
-
-  const bool tiny_stream = partition == kTinyStream;
-  index::ChunkIndex* shard =
-      tiny_stream ? nullptr : &index_.shard(partition);
-  telemetry::Tracer* tracer =
-      options_.telemetry != nullptr ? &options_.telemetry->trace : nullptr;
-  const telemetry::Sketch chunk_sketch =
-      tiny_stream ? telemetry::Sketch{} : chunk_latency_sketch(partition);
-
-  // Secure dedup: encrypt a plaintext chunk under its content-derived key
-  // and remember the key for restore. Returns the ciphertext view.
-  ByteBuffer crypt_scratch;
-  const auto seal_chunk = [&](const hash::Digest& digest,
-                              ConstByteSpan plaintext) -> ConstByteSpan {
-    if (!options_.convergent_encryption) return plaintext;
-    const crypto::ChaChaKey key = crypto::derive_content_key(plaintext);
-    crypt_scratch.assign(plaintext.begin(), plaintext.end());
-    crypto::convergent_encrypt(key, crypt_scratch);
-    {
-      std::lock_guard lock(key_store_mutex_);
-      key_store_.put(digest, key);
-    }
-    return crypt_scratch;
-  };
-
-  ByteBuffer content;
-  for (const dataset::FileEntry* file : files) {
-    dataset::materialize_into(file->content, content);
-    container::FileRecipe recipe;
-    recipe.path = file->path;
-    recipe.file_size = content.size();
-    recipe.tag = tiny_stream ? std::string() : partition;
-
-    if (tiny_stream) {
-      // Tiny files skip dedup: a cheap Rabin-96 tag labels the container
-      // descriptor, and the bytes are packed directly.
-      if (!content.empty()) {
-        const hash::Digest digest = hash::Rabin96::hash(content);
-        const index::ChunkLocation loc =
-            manager.store(digest, seal_chunk(digest, content));
-        recipe.entries.push_back(container::RecipeEntry{digest, loc});
-      }
-      files_counter_.increment();
-      logical_bytes_counter_.add(content.size());
-      chunks_counter_.add(recipe.entries.size());
-      result.recipes.push_back(std::move(recipe));
-      continue;
-    }
-
-    const CategoryPolicy policy = policy_.for_kind(file->kind);
-    FileChunkPlan plan;
-    if (tracer == nullptr) {
-      plan = chunk_and_fingerprint(policy, content, options_.telemetry,
-                                   partition);
-    } else {
-      const double begin_s = tracer->now();
-      plan = chunk_and_fingerprint(policy, content, options_.telemetry,
-                                   partition);
-      chunk_sketch.observe(tracer->now() - begin_s);
-    }
-    double lookup_s = 0.0;
-    std::uint64_t duplicates = 0;
-    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-      const chunk::ChunkRef& ref = plan.chunks[c];
-      const hash::Digest& digest = plan.digests[c];
-      const ConstByteSpan chunk_bytes =
-          ConstByteSpan{content}.subspan(ref.offset, ref.length);
-      std::optional<index::ChunkLocation> existing;
-      if (tracer == nullptr) {
-        existing = shard->lookup(digest);
-      } else {
-        const double begin_s = tracer->now();
-        existing = shard->lookup(digest);
-        lookup_s += tracer->now() - begin_s;
-      }
-      index::ChunkLocation location;
-      if (existing) {
-        location = *existing;
-        ++duplicates;
-      } else {
-        location = manager.store(digest, seal_chunk(digest, chunk_bytes));
-        shard->insert(digest, location);
-      }
-      recipe.entries.push_back(container::RecipeEntry{digest, location});
-    }
-    if (tracer != nullptr && !plan.chunks.empty()) {
-      tracer->record(telemetry::Stage::kIndexLookup, partition, lookup_s,
-                     plan.chunks.size());
-    }
-    files_counter_.increment();
-    logical_bytes_counter_.add(content.size());
-    chunks_counter_.add(plan.chunks.size());
-    dup_chunks_counter_.add(duplicates);
-    result.recipes.push_back(std::move(recipe));
-  }
-  manager.flush();
-  result.new_bytes = manager.bytes_stored();
-  return result;
-}
-
-void AaDedupeScheme::run_file_parallel(
+container::RecipeStore AaDedupeScheme::dedupe_streams(
     const std::map<std::string, std::vector<const dataset::FileEntry*>>&
         streams,
-    UploadPipeline& pipeline, std::vector<StreamResult>& results) {
-  // Per-stream commit state: its index shard, its open container, and a
-  // scratch buffer for convergent encryption. Streams commit concurrently
-  // with each other (they share nothing, per Observation 2) but each
-  // stream's files commit serially in snapshot order.
+    UploadPipeline& pipeline) {
+  // Per-stream commit state: its index shard, its open container (one per
+  // stream, paper Section III.F), its recipes, and a scratch buffer for
+  // convergent encryption. Streams commit concurrently with each other
+  // (they share nothing, per Observation 2) but each stream's files commit
+  // serially in snapshot order.
   struct StreamCommit {
     const std::string* key = nullptr;
     bool tiny = false;
     index::ChunkIndex* shard = nullptr;
     std::unique_ptr<container::ContainerManager> manager;
-    StreamResult* result = nullptr;
+    std::vector<container::FileRecipe> recipes;
     ByteBuffer crypt_scratch;
     telemetry::Sketch chunk_sketch;  // per-file chunk+fingerprint latency
   };
@@ -231,8 +113,7 @@ void AaDedupeScheme::run_file_parallel(
         },
         options_.container_capacity, /*pad_on_flush=*/false,
         options_.telemetry, key);
-    commit.result = &results[commits.size()];
-    commit.result->recipes.reserve(files.size());
+    commit.recipes.reserve(files.size());
     const std::size_t stream_index = commits.size();
     commits.push_back(std::move(commit));
     for (const dataset::FileEntry* file : files) {
@@ -240,6 +121,8 @@ void AaDedupeScheme::run_file_parallel(
     }
   }
 
+  // Secure dedup: encrypt a plaintext chunk under its content-derived key
+  // and remember the key for restore. Returns the ciphertext view.
   const auto seal_chunk = [this](StreamCommit& commit,
                                  const hash::Digest& digest,
                                  ConstByteSpan plaintext) -> ConstByteSpan {
@@ -283,13 +166,15 @@ void AaDedupeScheme::run_file_parallel(
     // Phase 1 — pure and stateless: chunk and fingerprint every file of
     // the batch across the pool, one file per steal so a dominant stream's
     // large files spread over all workers.
-    pool_->parallel_for(
+    pool_.parallel_for(
         batch_size,
         [&](std::size_t i) {
           const WorkItem& item = items[batch_begin + i];
           FrontEndPlan& plan = plans[i];
           dataset::materialize_into(item.file->content, plan.content);
           if (commits[item.stream].tiny) {
+            // Tiny files skip dedup: a cheap Rabin-96 tag labels the
+            // container descriptor, and the bytes are packed directly.
             plan.plan.chunks.clear();
             plan.plan.digests.clear();
             if (!plan.content.empty()) {
@@ -323,7 +208,7 @@ void AaDedupeScheme::run_file_parallel(
       }
       spans.back().end = i + 1;
     }
-    pool_->parallel_for(spans.size(), [&](std::size_t s) {
+    pool_.parallel_for(spans.size(), [&](std::size_t s) {
       const Span& span = spans[s];
       StreamCommit& commit = commits[span.stream];
       // Batched-lookup scratch, reused across the span's files.
@@ -351,10 +236,10 @@ void AaDedupeScheme::run_file_parallel(
           recipe.entries.reserve(plan.plan.chunks.size());
           double lookup_s = 0.0;
           std::uint64_t duplicates = 0;
-          // One shard probe pass per file. Chunks the batch saw as absent
+          // One shard probe pass per file. Chunks the probe saw as absent
           // may still repeat within the file: the first commit records the
-          // fresh location and later occurrences reuse it, so recipes and
-          // duplicate counts match the chunk-at-a-time serial path.
+          // fresh location and later occurrences reuse it, so each distinct
+          // chunk is stored and indexed once.
           if (tracer == nullptr) {
             commit.shard->lookup_batch(plan.plan.digests, found);
           } else {
@@ -394,7 +279,7 @@ void AaDedupeScheme::run_file_parallel(
         }
         files_counter_.increment();
         logical_bytes_counter_.add(plan.content.size());
-        commit.result->recipes.push_back(std::move(recipe));
+        commit.recipes.push_back(std::move(recipe));
       }
     });
 
@@ -408,10 +293,17 @@ void AaDedupeScheme::run_file_parallel(
     batch_begin = batch_end;
   }
 
+  // Per-stream new-bytes rollup for the per-category dedup ratio.
+  session_new_bytes_.clear();
+  container::RecipeStore recipes;
   for (StreamCommit& commit : commits) {
     commit.manager->flush();
-    commit.result->new_bytes = commit.manager->bytes_stored();
+    session_new_bytes_[*commit.key] = commit.manager->bytes_stored();
+    for (container::FileRecipe& recipe : commit.recipes) {
+      recipes.put(std::move(recipe));
+    }
   }
+  return recipes;
 }
 
 void AaDedupeScheme::run_session(const dataset::Snapshot& snapshot) {
@@ -453,51 +345,7 @@ void AaDedupeScheme::run_session(const dataset::Snapshot& snapshot) {
   pipeline_options.telemetry = options_.telemetry;
   pipeline_options.tenant = options_.tenant;
   UploadPipeline pipeline(target(), pipeline_options);
-  std::vector<StreamResult> results(streams.size());
-
-  if (pool_ && options_.granularity == ParallelGranularity::kFile) {
-    // Two-phase file-granularity session: chunk+fingerprint files across
-    // the pool, then commit each stream serially in file order. Wall
-    // clock tracks total work instead of the largest stream.
-    run_file_parallel(streams, pipeline, results);
-  } else if (pool_) {
-    // Observation 2 makes streams independent: deduplicate them in
-    // parallel, each against its own index shard and container.
-    std::vector<std::pair<const std::string*,
-                          const std::vector<const dataset::FileEntry*>*>>
-        work;
-    work.reserve(streams.size());
-    for (const auto& [key, files] : streams) work.push_back({&key, &files});
-    pool_->parallel_for(work.size(), [&](std::size_t i) {
-      results[i] = process_stream(*work[i].first, *work[i].second, pipeline);
-    });
-  } else {
-    std::size_t i = 0;
-    for (const auto& [key, files] : streams) {
-      results[i++] = process_stream(key, files, pipeline);
-      if (options_.telemetry != nullptr) {
-        options_.telemetry->timeline.maybe_sample(
-            options_.telemetry->trace.now());
-      }
-    }
-  }
-
-  // Per-stream new-bytes rollup for the per-category dedup ratio (streams
-  // and results share map order).
-  session_new_bytes_.clear();
-  {
-    std::size_t i = 0;
-    for (const auto& [key, files] : streams) {
-      session_new_bytes_[key] = results[i++].new_bytes;
-    }
-  }
-
-  container::RecipeStore recipes;
-  for (StreamResult& result : results) {
-    for (container::FileRecipe& recipe : result.recipes) {
-      recipes.put(std::move(recipe));
-    }
-  }
+  container::RecipeStore recipes = dedupe_streams(streams, pipeline);
 
   // Periodic metadata synchronization: recipes plus the application-aware
   // index image, shipped through the same pipeline. Metadata objects get
@@ -893,7 +741,7 @@ void AaDedupeScheme::fill_run_report(telemetry::RunReport& report) const {
   session["scheme"] = name();
   session["latest_session"] = latest_session_;
   session["tiny_file_threshold"] = options_.tiny_file_threshold;
-  session["parallel"] = options_.parallel;
+  session["worker_threads"] = options_.worker_threads;
   session["convergent_encryption"] = options_.convergent_encryption;
 
   std::uint64_t total_bytes = 0, total_files = 0, total_chunks = 0;

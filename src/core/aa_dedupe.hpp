@@ -18,8 +18,10 @@
 //      later sessions ship the delta since the previous checkpoint.
 //
 // Because applications share no data (Observation 2), the per-application
-// streams deduplicate independently and — when `parallel` is on — run
-// concurrently on a thread pool, each against its own index shard.
+// streams deduplicate independently, each against its own index shard and
+// open container. A session runs in two phases on a thread pool: files are
+// chunked and fingerprinted across all workers, then each stream commits
+// its files in snapshot order, concurrently with the other streams.
 #pragma once
 
 #include <cstdint>
@@ -46,31 +48,17 @@
 
 namespace aadedupe::core {
 
-/// How a parallel backup session distributes work across the pool.
-enum class ParallelGranularity : std::uint8_t {
-  /// One task per application stream (the original design). Simple, but a
-  /// session's wall clock is bounded by its largest stream — one dominant
-  /// stream (e.g. the VM-image or mail stream) serializes the session.
-  kStream,
-  /// Two-phase: a pure, stateless phase chunks and fingerprints individual
-  /// *files* across the pool (work-stealing, one file per steal), then a
-  /// per-stream serial commit phase performs index lookups, container
-  /// packing, and recipe emission in deterministic file order. Produces
-  /// the same recipes per stream; wall clock is bounded by total work.
-  kFile,
-};
-
 struct AaDedupeOptions {
   std::uint64_t tiny_file_threshold = FileSizeFilter::kDefaultThreshold;
   std::size_t container_capacity = container::kDefaultCapacity;
-  /// Deduplicate application streams in parallel on a thread pool.
-  bool parallel = true;
-  /// Work-distribution unit when `parallel` is on.
-  ParallelGranularity granularity = ParallelGranularity::kFile;
-  /// Upper bound on the bytes the file-granularity front end materializes
-  /// at once (it processes the session in batches of at most this size, so
-  /// memory stays bounded on arbitrarily large snapshots).
+  /// Upper bound on the bytes the front end materializes at once (it
+  /// processes the session in batches of at most this size, so memory
+  /// stays bounded on arbitrarily large snapshots). Every worker count,
+  /// one included, buffers up to this much.
   std::uint64_t front_end_batch_bytes = 128ull << 20;
+  /// Session thread-pool size (>= 1). Results do not depend on it; one
+  /// worker is the serial configuration and also fixes the order in which
+  /// containers are allocated ids.
   std::size_t worker_threads = ThreadPool::default_thread_count();
   /// Sync the application-aware index image to the cloud each session.
   bool sync_index = true;
@@ -258,26 +246,15 @@ class AaDedupeScheme final : public backup::BackupScheme {
   void run_session(const dataset::Snapshot& snapshot) override;
 
  private:
-  /// All files of one application stream, deduplicated sequentially.
-  struct StreamResult {
-    std::vector<container::FileRecipe> recipes;
-    std::uint64_t new_bytes = 0;  // container bytes this stream shipped
-  };
-
-  StreamResult process_stream(
-      const std::string& partition,
-      const std::vector<const dataset::FileEntry*>& files,
-      class UploadPipeline& pipeline);
-
-  /// File-granularity parallel session (ParallelGranularity::kFile): phase
-  /// one chunks+fingerprints files across the pool, phase two commits each
-  /// stream serially in file order, probing the shard once per file via
-  /// lookup_batch. Fills `results` in stream map order; per-stream recipes,
-  /// duplicate counts, and shipped bytes match process_stream exactly.
-  void run_file_parallel(
+  /// The session engine. In batches of at most front_end_batch_bytes,
+  /// phase one chunks and fingerprints files across the pool; phase two
+  /// commits each stream serially in file order, probing its shard once
+  /// per file via lookup_batch. Records each stream's shipped container
+  /// bytes in session_new_bytes_ and returns the session's recipes.
+  container::RecipeStore dedupe_streams(
       const std::map<std::string,
                      std::vector<const dataset::FileEntry*>>& streams,
-      class UploadPipeline& pipeline, std::vector<StreamResult>& results);
+      class UploadPipeline& pipeline);
 
   ByteBuffer restore_recipe(const container::FileRecipe& recipe);
 
@@ -286,7 +263,7 @@ class AaDedupeScheme final : public backup::BackupScheme {
   FileSizeFilter size_filter_;
   index::PartitionedIndex index_;
   container::ContainerIdAllocator container_ids_;
-  std::unique_ptr<ThreadPool> pool_;  // created when parallel
+  ThreadPool pool_;
   /// Secure-dedup state (only used when convergent_encryption is on).
   crypto::ChaChaKey master_key_{};
   crypto::KeyStore key_store_;

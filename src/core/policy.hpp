@@ -124,8 +124,8 @@ inline void fingerprint_chunks(const CategoryPolicy& policy,
 /// the category's engine and fingerprint every chunk with the category's
 /// hash (Rabin-96 / MD5 / SHA-1 per the policy table). Touches no shared
 /// state, so any number of files may be processed concurrently — this is
-/// what the file-granularity parallel session phase fans out, each worker
-/// handing its file's chunks to the batch hasher in one call.
+/// what the session engine's first phase fans out, each worker handing its
+/// file's chunks to the batch hasher in one call.
 inline FileChunkPlan chunk_and_fingerprint(const CategoryPolicy& policy,
                                            ConstByteSpan content) {
   FileChunkPlan plan;

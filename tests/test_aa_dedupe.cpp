@@ -1,15 +1,17 @@
 // AA-Dedupe-specific tests: size filter routing, application-aware index
 // structure, per-category chunk/hash policy, container shipping, index
-// sync, and parallel-vs-serial equivalence.
+// sync, and results that do not depend on the worker count.
 #include "core/aa_dedupe.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "backup/keys.hpp"
 #include "core/policy.hpp"
 #include "dataset/generator.hpp"
+#include "hash/rabin.hpp"
 #include "index/checkpoint.hpp"
 
 namespace aadedupe::core {
@@ -165,8 +167,8 @@ TEST(AaDedupe, SecondSessionSyncsIndexDelta) {
 
 TEST(AaDedupe, WithinFileDuplicatesCommitOnceInBatchedFrontEnd) {
   // A file that repeats the same content: the batched commit's shard
-  // probe sees every repeat as absent, and must still store the payload
-  // once (the serial path dedups repeats on the fly after inserting).
+  // probe sees every repeat as absent, and must still store and index each
+  // distinct chunk once.
   dataset::Snapshot snapshot;
   snapshot.session = 0;
   dataset::FileEntry f;
@@ -179,25 +181,24 @@ TEST(AaDedupe, WithinFileDuplicatesCommitOnceInBatchedFrontEnd) {
   }
   snapshot.files.push_back(f);
 
-  cloud::CloudTarget target_f, target_s;
-  AaDedupeOptions file_opts;
-  file_opts.granularity = ParallelGranularity::kFile;
-  file_opts.worker_threads = 4;
-  AaDedupeOptions serial_opts;
-  serial_opts.parallel = false;
-  AaDedupeScheme file_scheme(target_f, file_opts);
-  AaDedupeScheme serial_scheme(target_s, serial_opts);
-  const auto rf = file_scheme.backup(snapshot);
-  const auto rs = serial_scheme.backup(snapshot);
+  const ByteBuffer content = dataset::materialize(f.content);
+  const FileChunkPlan plan =
+      chunk_and_fingerprint(DedupPolicy().for_kind(f.kind), content);
+  const std::set<hash::Digest> distinct(plan.digests.begin(),
+                                        plan.digests.end());
+  ASSERT_LT(distinct.size(), plan.digests.size()) << "file must repeat";
 
-  EXPECT_EQ(file_scheme.restore_file(f.path),
-            serial_scheme.restore_file(f.path));
-  EXPECT_EQ(file_scheme.aa_index().total_size(),
-            serial_scheme.aa_index().total_size());
-  EXPECT_EQ(rf.transferred_bytes, rs.transferred_bytes);
+  cloud::CloudTarget target;
+  AaDedupeOptions options;
+  options.worker_threads = 4;
+  AaDedupeScheme scheme(target, options);
+  const auto report = scheme.backup(snapshot);
+
+  EXPECT_EQ(scheme.restore_file(f.path), content);
+  EXPECT_EQ(scheme.aa_index().total_size(), distinct.size());
   // Dedup of the repeats actually happened: shipped far less than the
   // logical 768 KB.
-  EXPECT_LT(rf.transferred_bytes, 8u * 96u * 1024u);
+  EXPECT_LT(report.transferred_bytes, 8u * 96u * 1024u);
 }
 
 TEST(AaDedupe, IndexSyncCanBeDisabled) {
@@ -226,26 +227,23 @@ TEST(AaDedupe, RecipesSyncedToCloud) {
 }
 
 TEST(AaDedupe, ParallelAndSerialProduceSameRestoredBytes) {
-  dataset::DatasetGenerator gen_a(test_config(4ull << 20));
-  dataset::DatasetGenerator gen_b(test_config(4ull << 20));
-  const auto snapshot_a = gen_a.initial();
-  const auto snapshot_b = gen_b.initial();
+  dataset::DatasetGenerator gen(test_config(4ull << 20));
+  const auto snapshot = gen.initial();
 
   cloud::CloudTarget target_p, target_s;
   AaDedupeOptions parallel_opts;
-  parallel_opts.parallel = true;
   parallel_opts.worker_threads = 8;
   AaDedupeOptions serial_opts;
-  serial_opts.parallel = false;
+  serial_opts.worker_threads = 1;
 
   AaDedupeScheme parallel_scheme(target_p, parallel_opts);
   AaDedupeScheme serial_scheme(target_s, serial_opts);
-  parallel_scheme.backup(snapshot_a);
-  serial_scheme.backup(snapshot_b);
+  parallel_scheme.backup(snapshot);
+  serial_scheme.backup(snapshot);
 
-  for (std::size_t i = 0; i < snapshot_a.files.size();
-       i += (i + 13 < snapshot_a.files.size() ? std::size_t{13} : std::size_t{1})) {
-    const auto& file = snapshot_a.files[i];
+  for (std::size_t i = 0; i < snapshot.files.size();
+       i += (i + 13 < snapshot.files.size() ? std::size_t{13} : std::size_t{1})) {
+    const auto& file = snapshot.files[i];
     EXPECT_EQ(parallel_scheme.restore_file(file.path),
               serial_scheme.restore_file(file.path))
         << file.path;
@@ -255,59 +253,93 @@ TEST(AaDedupe, ParallelAndSerialProduceSameRestoredBytes) {
             serial_scheme.aa_index().total_size());
 }
 
-TEST(AaDedupe, FileAndStreamGranularityProduceSameResults) {
-  // The two-phase file-granularity front end must reproduce the
-  // stream-granularity session exactly: same restored bytes, same index
-  // contents, same per-application stats — across multiple sessions so
-  // cross-session dedup state is exercised too. A tiny batch budget forces
-  // the front end through many batches.
-  dataset::DatasetGenerator gen_file(test_config(4ull << 20));
-  dataset::DatasetGenerator gen_stream(test_config(4ull << 20));
+TEST(AaDedupe, ResultsDoNotDependOnWorkerCount) {
+  // Oracle for the batched commit: chunk_and_fingerprint, called directly,
+  // gives every file's digest sequence and every partition's distinct
+  // digests. One worker and eight workers must both match it over three
+  // sessions (so cross-session dedup state is exercised), with a 1 MiB
+  // batch budget that forces the front end through many batches. Each
+  // distinct chunk is stored once: within a partition, every recipe entry
+  // with the same digest points at the same location.
+  dataset::DatasetGenerator gen(test_config(4ull << 20));
+  const std::vector<dataset::Snapshot> sessions = gen.sessions(3);
 
-  cloud::CloudTarget target_f, target_s;
-  AaDedupeOptions file_opts;
-  file_opts.granularity = ParallelGranularity::kFile;
-  file_opts.front_end_batch_bytes = 1 << 20;
-  file_opts.worker_threads = 8;
-  AaDedupeOptions stream_opts;
-  stream_opts.granularity = ParallelGranularity::kStream;
-  stream_opts.worker_threads = 8;
+  cloud::CloudTarget target_1, target_8;
+  AaDedupeOptions opts_1;
+  opts_1.front_end_batch_bytes = 1 << 20;
+  opts_1.worker_threads = 1;
+  AaDedupeOptions opts_8 = opts_1;
+  opts_8.worker_threads = 8;
+  AaDedupeScheme one(target_1, opts_1);
+  AaDedupeScheme eight(target_8, opts_8);
 
-  AaDedupeScheme file_scheme(target_f, file_opts);
-  AaDedupeScheme stream_scheme(target_s, stream_opts);
-
-  dataset::Snapshot snapshot_f, snapshot_s;
-  for (int session = 0; session < 3; ++session) {
-    snapshot_f = session == 0 ? gen_file.initial() : gen_file.next(snapshot_f);
-    snapshot_s =
-        session == 0 ? gen_stream.initial() : gen_stream.next(snapshot_s);
-    file_scheme.backup(snapshot_f);
-    stream_scheme.backup(snapshot_s);
+  const DedupPolicy policy;
+  const FileSizeFilter filter;
+  std::map<std::string, std::set<hash::Digest>> distinct;  // per partition
+  // Per scheme: (partition, digest) -> the one location it was stored at.
+  std::map<std::pair<std::string, hash::Digest>, index::ChunkLocation>
+      stored[2];
+  for (const dataset::Snapshot& snapshot : sessions) {
+    one.backup(snapshot);
+    eight.backup(snapshot);
+    for (const dataset::FileEntry& file : snapshot.files) {
+      const ByteBuffer content = dataset::materialize(file.content);
+      std::vector<hash::Digest> expected;
+      std::string partition;  // tiny files carry no tag
+      if (!filter.is_tiny(file.size())) {
+        partition = DedupPolicy::partition_key(file.kind);
+        expected = chunk_and_fingerprint(policy.for_kind(file.kind), content)
+                       .digests;
+        distinct[partition].insert(expected.begin(), expected.end());
+      } else if (!content.empty()) {
+        expected.push_back(hash::Rabin96::hash(content));
+      }
+      for (int s = 0; s < 2; ++s) {
+        const container::FileRecipe* recipe =
+            (s == 0 ? one : eight).recipes().find(file.path);
+        ASSERT_NE(recipe, nullptr) << file.path;
+        EXPECT_EQ(recipe->tag, partition) << file.path;
+        std::vector<hash::Digest> listed;
+        for (const container::RecipeEntry& entry : recipe->entries) {
+          listed.push_back(entry.digest);
+          if (partition.empty()) continue;  // tiny files are not deduped
+          const auto [it, first] =
+              stored[s].emplace(std::pair{partition, entry.digest},
+                                entry.location);
+          EXPECT_TRUE(first || it->second == entry.location) << file.path;
+        }
+        EXPECT_EQ(listed, expected) << file.path;
+      }
+    }
   }
 
-  for (std::size_t i = 0; i < snapshot_f.files.size();
-       i += (i + 7 < snapshot_f.files.size() ? std::size_t{7}
-                                             : std::size_t{1})) {
-    const auto& file = snapshot_f.files[i];
-    EXPECT_EQ(file_scheme.restore_file(file.path),
-              stream_scheme.restore_file(file.path))
-        << file.path;
+  const auto rows_1 = one.application_stats();
+  const auto rows_8 = eight.application_stats();
+  ASSERT_EQ(rows_1.size(), distinct.size() + 1);  // + the "tiny" row
+  ASSERT_EQ(rows_1.size(), rows_8.size());
+  for (std::size_t i = 0; i < rows_1.size(); ++i) {
+    const auto& a = rows_1[i];
+    const auto& b = rows_8[i];
+    EXPECT_EQ(a.partition, b.partition);
+    if (a.partition != "tiny") {
+      EXPECT_EQ(a.index_entries, distinct.at(a.partition).size())
+          << a.partition;
+    }
+    EXPECT_EQ(a.index_entries, b.index_entries) << a.partition;
+    EXPECT_EQ(a.index_lookups, b.index_lookups) << a.partition;
+    EXPECT_EQ(a.index_hits, b.index_hits) << a.partition;
+    EXPECT_EQ(a.session_files, b.session_files) << a.partition;
+    EXPECT_EQ(a.session_bytes, b.session_bytes) << a.partition;
+    EXPECT_EQ(a.session_chunks, b.session_chunks) << a.partition;
+    EXPECT_EQ(a.session_new_bytes, b.session_new_bytes) << a.partition;
   }
-  EXPECT_EQ(file_scheme.aa_index().total_size(),
-            stream_scheme.aa_index().total_size());
 
-  const auto rows_f = file_scheme.application_stats();
-  const auto rows_s = stream_scheme.application_stats();
-  ASSERT_EQ(rows_f.size(), rows_s.size());
-  for (std::size_t i = 0; i < rows_f.size(); ++i) {
-    EXPECT_EQ(rows_f[i].partition, rows_s[i].partition);
-    EXPECT_EQ(rows_f[i].index_entries, rows_s[i].index_entries);
-    EXPECT_EQ(rows_f[i].session_files, rows_s[i].session_files);
-    EXPECT_EQ(rows_f[i].session_bytes, rows_s[i].session_bytes);
-    EXPECT_EQ(rows_f[i].session_chunks, rows_s[i].session_chunks);
-    // The dedup outcome per stream is identical too: the batched commit
-    // ships exactly the container bytes the serial commit ships.
-    EXPECT_EQ(rows_f[i].session_new_bytes, rows_s[i].session_new_bytes);
+  const dataset::Snapshot& last = sessions.back();
+  for (std::size_t i = 0; i < last.files.size(); i += 7) {
+    const auto& file = last.files[i];
+    const ByteBuffer content = dataset::materialize(file.content);
+    EXPECT_EQ(one.restore_file(file.path), content) << file.path;
+    EXPECT_EQ(eight.restore_file(file.path), content) << file.path;
   }
 }
 

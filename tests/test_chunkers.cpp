@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "chunk/cdc_chunker.hpp"
@@ -28,6 +29,11 @@ struct CoverCase {
   const char* engine;
   std::size_t size;
 };
+
+// Test names print "wfc_100000" (the struct's own bytes hold a pointer).
+void PrintTo(const CoverCase& c, std::ostream* os) {
+  *os << c.engine << '_' << c.size;
+}
 
 class ExactCover : public ::testing::TestWithParam<CoverCase> {
  protected:

@@ -317,12 +317,12 @@ TEST(StressIndex, PartitionedShardsCheckpointWhileOtherShardsCommit) {
 // ---- Parallel backup session over a synthetic dataset ----------------------
 
 TEST(StressSession, ParallelFrontEndMatchesSerialUnderLoad) {
-  // A multi-session parallel backup (two-phase file-granularity front end,
-  // 8 workers, deliberately tiny batch budget so the batch loop and the
-  // per-stream commit spans cycle many times) against the same dataset run
-  // serially. Under TSan this is the main course: chunking workers racing
-  // the shared pool, per-stream shards committing concurrently, the
-  // key-store mutex, and the upload pipeline all live here.
+  // A multi-session parallel backup (8 workers, deliberately tiny batch
+  // budget so the batch loop and the per-stream commit spans cycle many
+  // times) against the same dataset run on one worker. Under TSan this is
+  // the main course: chunking workers racing the shared pool, per-stream
+  // shards committing concurrently, the key-store mutex, and the upload
+  // pipeline all live here.
   dataset::DatasetConfig config;
   config.seed = 20260807;
   config.session_bytes = (1ull << 20) * kScale;
@@ -333,12 +333,10 @@ TEST(StressSession, ParallelFrontEndMatchesSerialUnderLoad) {
 
   cloud::CloudTarget target_p, target_s;
   core::AaDedupeOptions par_opts;
-  par_opts.parallel = true;
-  par_opts.granularity = core::ParallelGranularity::kFile;
   par_opts.front_end_batch_bytes = 256u << 10;
   par_opts.worker_threads = 8;
   core::AaDedupeOptions ser_opts;
-  ser_opts.parallel = false;
+  ser_opts.worker_threads = 1;
 
   core::AaDedupeScheme parallel_scheme(target_p, par_opts);
   core::AaDedupeScheme serial_scheme(target_s, ser_opts);
@@ -380,8 +378,6 @@ TEST(StressSession, ConcurrentIndependentSchemesDoNotInterfere) {
     dataset::DatasetGenerator gen(config);
     cloud::CloudTarget target;
     core::AaDedupeOptions opts;
-    opts.parallel = true;
-    opts.granularity = core::ParallelGranularity::kFile;
     opts.worker_threads = 4;
     core::AaDedupeScheme scheme(target, opts);
     scheme.backup(gen.initial());

@@ -41,13 +41,14 @@ std::unique_ptr<backup::BackupScheme> make_scheme(const std::string& name,
   if (name == "sam") return std::make_unique<backup::SamScheme>(target);
   if (name == "target")
     return std::make_unique<backup::TargetDedupeScheme>(target);
-  // Sequential AA: with parallel streams the container-id → content
-  // assignment varies with thread timing, so the (key, attempt) pairs
-  // drawn against the fault schedule — and hence the injected-fault count
-  // this test asserts on — would differ run to run. Fault determinism
-  // under reordering is covered by test_fault_injection.
+  // One worker: streams then commit in a fixed order, so container ids
+  // come out in a fixed order. With more workers the container-id →
+  // content assignment varies with thread timing, so the (key, attempt)
+  // pairs drawn against the fault schedule — and hence the injected-fault
+  // count this test asserts on — would differ run to run. Fault
+  // determinism under reordering is covered by test_fault_injection.
   core::AaDedupeOptions options;
-  options.parallel = false;
+  options.worker_threads = 1;
   return std::make_unique<core::AaDedupeScheme>(target, options);
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -13,20 +14,28 @@ namespace aadedupe::hash {
 namespace {
 
 struct Md5Vector {
+  const char* label;  // the test-name suffix
   const char* message;
   const char* digest_hex;
 };
 
+// Test names print the label (the struct's own bytes hold pointers).
+void PrintTo(const Md5Vector& v, std::ostream* os) { *os << v.label; }
+
 // RFC 1321, section A.5.
 constexpr Md5Vector kRfc1321Vectors[] = {
-    {"", "d41d8cd98f00b204e9800998ecf8427e"},
-    {"a", "0cc175b9c0f1b6a831c399e269772661"},
-    {"abc", "900150983cd24fb0d6963f7d28e17f72"},
-    {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
-    {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
-    {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+    {"rfc1321_empty", "", "d41d8cd98f00b204e9800998ecf8427e"},
+    {"rfc1321_a", "a", "0cc175b9c0f1b6a831c399e269772661"},
+    {"rfc1321_abc", "abc", "900150983cd24fb0d6963f7d28e17f72"},
+    {"rfc1321_message_digest", "message digest",
+     "f96b697d7cb7938d525a2f31aaf161d0"},
+    {"rfc1321_lowercase", "abcdefghijklmnopqrstuvwxyz",
+     "c3fcd3d76192e4007dfb496cca67e13b"},
+    {"rfc1321_alphanumeric",
+     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
      "d174ab98d277d9f5a5611c2c9f419d9f"},
-    {"1234567890123456789012345678901234567890123456789012345678901234567890"
+    {"rfc1321_digits",
+     "1234567890123456789012345678901234567890123456789012345678901234567890"
      "1234567890",
      "57edf4a22be3c955ac49da2e2107b67a"},
 };

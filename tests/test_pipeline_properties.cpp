@@ -89,17 +89,17 @@ TEST_P(PipelineProperty, ContainersHoldExactlyTheUniquePayload) {
 }
 
 TEST_P(PipelineProperty, DedupRatioNeverBelowOne) {
-  for (const bool parallel : {false, true}) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     cloud::CloudTarget target;
     core::AaDedupeOptions options;
-    options.parallel = parallel;
+    options.worker_threads = workers;
     core::AaDedupeScheme scheme(target, options);
     dataset::DatasetGenerator gen(seeded_config(GetParam()));
     const auto sessions = gen.sessions(2);
     for (const auto& s : sessions) {
       const auto report = scheme.backup(s);
       EXPECT_GE(report.dedupe_ratio(), 1.0)
-          << "seed=" << GetParam() << " parallel=" << parallel;
+          << "seed=" << GetParam() << " workers=" << workers;
     }
   }
 }

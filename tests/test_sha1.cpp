@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "util/rng.hpp"
@@ -12,19 +13,24 @@ namespace aadedupe::hash {
 namespace {
 
 struct Sha1Vector {
+  const char* label;  // the test-name suffix
   const char* message;
   const char* digest_hex;
 };
 
+// Test names print the label (the struct's own bytes hold pointers).
+void PrintTo(const Sha1Vector& v, std::ostream* os) { *os << v.label; }
+
 constexpr Sha1Vector kVectors[] = {
-    {"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
-    {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
-    {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+    {"empty", "", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+    {"abc", "abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+    {"two_blocks", "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
      "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
-    {"The quick brown fox jumps over the lazy dog",
+    {"quick_brown_fox", "The quick brown fox jumps over the lazy dog",
      "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"},
-    {"a", "86f7e437faa5a7fce15d1ddcb9eaeaea377667b8"},
-    {"0123456701234567012345670123456701234567012345670123456701234567",
+    {"a", "a", "86f7e437faa5a7fce15d1ddcb9eaeaea377667b8"},
+    {"one_block",
+     "0123456701234567012345670123456701234567012345670123456701234567",
      "e0c094e867ef46c350ef54a7f59dd60bed92ae83"},
 };
 

@@ -5,6 +5,7 @@
 // to catch a generator regression.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -38,6 +39,11 @@ constexpr PaperRow kRows[] = {
     {FileKind::kTxt, 1.232, 1.259, 0.07},
     {FileKind::kPpt, 1.275, 1.300, 0.08},
 };
+
+// Test names print the row's file type ("vmdk"), not the struct's bytes.
+void PrintTo(const PaperRow& row, std::ostream* os) {
+  *os << extension(row.kind);
+}
 
 double chunk_dr(const chunk::Chunker& chunker,
                 const std::vector<ByteBuffer>& files) {

@@ -45,6 +45,19 @@ Rules (see DESIGN.md §5 for rationale):
                   tools, benches) talks to it via ops_http_get(), which
                   keeps bind policy, timeouts, and request bounding in a
                   single reviewed file.
+  param-test-names
+                  every INSTANTIATE_TEST_SUITE_P in tests/ whose fixture
+                  parameter is not an integer or string type has a
+                  PrintTo (or operator<<) for that type in the same file.
+                  gtest otherwise prints the value as "N-byte object <hex>",
+                  which gtest_discover_tests puts into the ctest name: the
+                  names are unreadable, and change from run to run when the
+                  bytes hold pointers. A name generator alone does not help:
+                  CMake substitutes the printed value only for index-named
+                  tests and appends "# GetParam() = <value>" to any other.
+
+`lint.py --selftest` runs each rule that has fixtures against a tripping
+and a clean example; a normal run does the same before scanning the tree.
 """
 
 from __future__ import annotations
@@ -335,6 +348,79 @@ def check_no_raw_socket(findings):
                         "OpsServer, query via ops_http_get()"))
 
 
+PARAM_FIXTURE = re.compile(
+    r"class\s+(\w+)\s*:\s*public\s+(?:::)?testing::TestWithParam<\s*"
+    r"([\w:]+)\s*>")
+INSTANTIATE = re.compile(r"\bINSTANTIATE_TEST_SUITE_P\s*\(")
+# Parameter types gtest prints as their own (stable, legible) value.
+PRINTABLE_PARAM = re.compile(
+    r"(?:std::)?(?:u?int(?:8|16|32|64)_t|size_t|string|string_view)|"
+    r"(?:unsigned\s+)?(?:int|long|short|char)|bool|const\s+char\s*\*")
+
+
+def param_test_name_findings(text: str) -> list[tuple[int, str]]:
+    """(line, message) for each instantiation of `text` whose parameter
+    gtest would print as raw bytes. `text` is comment/string-stripped."""
+    fixtures = dict(PARAM_FIXTURE.findall(text))
+    out = []
+    for m in INSTANTIATE.finditer(text):
+        # Second macro argument: the fixture name.
+        args = text[m.end():].split(",", 2)
+        fixture = args[1].strip() if len(args) > 1 else ""
+        ptype = fixtures.get(fixture)
+        if ptype is None:
+            out.append((line_of(text, m.start()),
+                        f"parameterized suite `{fixture}`: its "
+                        "TestWithParam<T> fixture is not in this file, so "
+                        "its test names cannot be checked"))
+            continue
+        if PRINTABLE_PARAM.fullmatch(ptype):
+            continue
+        bare = re.escape(ptype.split("::")[-1])
+        printer = re.compile(
+            r"PrintTo\s*\(\s*const\s+(?:[\w:]*::)?" + bare + r"\s*&|"
+            r"operator<<\s*\([^,]*,\s*const\s+(?:[\w:]*::)?" + bare +
+            r"\s*&")
+        if not printer.search(text):
+            out.append((line_of(text, m.start()),
+                        f"parameterized suite `{fixture}` over `{ptype}` "
+                        f"has no PrintTo for `{ptype}`: gtest names its "
+                        "tests by raw object bytes"))
+    return out
+
+
+def check_param_test_names(findings):
+    for path in iter_files(("tests",), ("*.cpp",)):
+        text = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+        for line, message in param_test_name_findings(text):
+            findings.append(Finding("param-test-names", path, line, message))
+
+
+PARAM_TRIP = """
+struct Case { const char* engine; int size; };
+class Cover : public ::testing::TestWithParam<Case> {};
+INSTANTIATE_TEST_SUITE_P(All, Cover, ::testing::Values(Case{"sc", 1}));
+"""
+PARAM_CLEAN = """
+struct Case { const char* engine; int size; };
+void PrintTo(const Case& c, std::ostream* os) { *os << c.engine; }
+class Cover : public ::testing::TestWithParam<Case> {};
+INSTANTIATE_TEST_SUITE_P(All, Cover, ::testing::Values(Case{"sc", 1}));
+class Sizes : public ::testing::TestWithParam<std::size_t> {};
+INSTANTIATE_TEST_SUITE_P(Small, Sizes, ::testing::Values(0, 1, 4096));
+"""
+
+
+def selftest() -> int:
+    trip = param_test_name_findings(strip_comments_and_strings(PARAM_TRIP))
+    clean = param_test_name_findings(strip_comments_and_strings(PARAM_CLEAN))
+    if len(trip) != 1 or "`Cover` over `Case`" not in trip[0][1] or clean:
+        print(f"lint selftest: FAIL — param-test-names trip={trip} "
+              f"clean={clean}")
+        return 1
+    return 0
+
+
 CHECKS = (
     check_pragma_once,
     check_using_namespace,
@@ -345,10 +431,16 @@ CHECKS = (
     check_stats_structs,
     check_no_raw_getenv,
     check_no_raw_socket,
+    check_param_test_names,
 )
 
 
 def main() -> int:
+    if selftest() != 0:
+        return 1
+    if sys.argv[1:] == ["--selftest"]:
+        print("lint selftest: OK")
+        return 0
     findings: list[Finding] = []
     for check in CHECKS:
         check(findings)
